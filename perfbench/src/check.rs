@@ -263,10 +263,7 @@ mod tests {
     /// entry.
     #[test]
     fn one_ulp_error_change_is_one_failed_entry() {
-        let suite = Suite {
-            apps: vec![Box::new(tiny())],
-            devices: vec![DeviceSpec::v100()],
-        };
+        let suite = Suite::every_pair(vec![Box::new(tiny())], vec![DeviceSpec::v100()]);
         let pair = suite.pairs()[0];
         let full = space::plan(suite.bench(pair), suite.device(pair), Scale::Quick);
         // A few configurations of each outcome kind.

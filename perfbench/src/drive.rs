@@ -7,15 +7,19 @@ use crate::trace::{self, Collector, Counters, LAYERS};
 use hpac_obs::{CounterId, OwnedEvent, SpanId};
 use std::time::{Duration, Instant};
 
-/// Set-up runs at least this many times, and until it has taken a second
-/// in total; `setup_s` is the median.
+/// Set-up runs at least this many times, and until it has taken two
+/// seconds in total; `setup_s` is the median. A single `tune-cold` set-up
+/// (about 0.25 s) varies by a quarter between runs on a shared host.
 const SETUP_REPS: usize = 3;
-const SETUP_MIN_SECONDS: f64 = 1.0;
+const SETUP_MIN_SECONDS: f64 = 2.0;
 const SETUP_MAX_REPS: usize = 25;
 
-/// Rounds every run measures at least, so each latency figure rests on
+/// Full rounds every run measures at least, so each latency figure rests on
 /// three passes over all pairs (42 calls, enough for a p75 tail) even when
-/// one round outlasts `--seconds`.
+/// one round outlasts `--seconds`. After them an untraced run stops at the
+/// first call due past `--seconds`, so every run measures about the same
+/// time whatever its round length; a traced run stops only after a full
+/// round, so its work counts are whole rounds.
 const MIN_ROUNDS: usize = 3;
 
 /// In a traced run, rounds are grouped into blocks of at least this long
@@ -43,8 +47,14 @@ impl Call {
 /// One workload's round: a pass over every (application, device) pair in a
 /// seeded order.
 pub trait Workload {
-    /// Run one round, recording each program call into `calls`.
-    fn round(&mut self, traced: bool, calls: &mut Vec<Call>);
+    /// Run one round, recording each program call into `calls`. With
+    /// `until`, make no call once that instant has passed.
+    fn round(&mut self, traced: bool, until: Option<Instant>, calls: &mut Vec<Call>);
+}
+
+/// Has `until` passed?
+pub fn past(until: Option<Instant>) -> bool {
+    until.is_some_and(|t| Instant::now() >= t)
 }
 
 /// Run `f`, returning its result and its start and end on the obs clock.
@@ -92,6 +102,7 @@ pub struct Drive {
 pub fn drive(w: &mut impl Workload, seconds: f64, trace: bool) -> Drive {
     let mut d = Drive::default();
     let start = Instant::now();
+    let end = start + Duration::from_secs_f64(seconds);
     let mut block = 0usize;
     let rounds = |d: &Drive| d.untraced_rounds.len() + d.traced_rounds.len();
     while rounds(&d) < MIN_ROUNDS || start.elapsed().as_secs_f64() < seconds || (trace && block < 2)
@@ -101,7 +112,11 @@ pub fn drive(w: &mut impl Workload, seconds: f64, trace: bool) -> Drive {
         let block_start = Instant::now();
         loop {
             let mut calls = Vec::new();
-            w.round(traced, &mut calls);
+            let until = (!trace && rounds(&d) >= MIN_ROUNDS).then_some(end);
+            w.round(traced, until, &mut calls);
+            if calls.is_empty() {
+                break;
+            }
             let secs = calls.iter().map(|c| c.ns() as f64).sum::<f64>() / 1e9;
             if traced {
                 d.traced_rounds.push(secs);
@@ -147,13 +162,28 @@ pub fn print_pairs(d: &Drive, labels: &[String]) {
     println!("median ms per call: {}", line.join(", "));
 }
 
-/// The end-to-end metrics, from untraced rounds only. Throughput is that of
-/// a round at each pair's median call time, so one slow round moves it no
-/// more than it moves the median latency.
+/// The end-to-end metrics, from untraced rounds only. Throughput is the
+/// geometric mean over pairs of each pair's operations per second at its
+/// median call time: one slow call moves it no more than it moves that
+/// pair's median, and every pair weighs the same, so one application whose
+/// cost depends strongly on its data (K-Means: up to 2x between data seeds)
+/// does not set the figure alone. The total a round of median calls takes
+/// is printed beside it.
 pub fn end_to_end(out: &mut Outcome, d: &Drive, setup_s: f64, peak_rss_mib: f64) {
     let (tail, tail_pct) = stats::tail(&d.latencies_ms);
-    let round_ops: u64 = d.by_pair.iter().map(|(_, ops)| ops).sum();
-    let round_ms: f64 = d.by_pair.iter().map(|(ms, _)| stats::median(ms)).sum();
+    let medians: Vec<(u64, f64)> = d
+        .by_pair
+        .iter()
+        .filter(|(ms, _)| !ms.is_empty())
+        .map(|(ms, ops)| (*ops, stats::median(ms)))
+        .collect();
+    let round_ops: u64 = medians.iter().map(|(ops, _)| ops).sum();
+    let round_ms: f64 = medians.iter().map(|(_, ms)| ms).sum();
+    let log_rate: f64 = medians
+        .iter()
+        .map(|&(ops, ms)| (ops as f64 / (ms / 1e3)).ln())
+        .sum::<f64>()
+        / medians.len() as f64;
     println!(
         "{} untraced rounds, {} calls; tail is p{tail_pct} of {} samples; \
          a round of median calls resolves {round_ops} ops in {round_ms:.3} ms",
@@ -162,7 +192,7 @@ pub fn end_to_end(out: &mut Outcome, d: &Drive, setup_s: f64, peak_rss_mib: f64)
         d.latencies_ms.len()
     );
     out.metric("setup_s", setup_s, "s");
-    out.metric("ops_per_s", round_ops as f64 / (round_ms / 1e3), "1/s");
+    out.metric("ops_per_s", log_rate.exp(), "1/s");
     out.metric("call_ms.p50", stats::median(&d.latencies_ms), "ms");
     out.metric("call_ms.tail", tail, "ms");
     out.metric("peak_rss_mib", peak_rss_mib, "MiB");

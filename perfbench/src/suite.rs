@@ -23,28 +23,62 @@ pub struct Suite {
     /// [`APPS`] applications per data draw, draw after draw.
     pub apps: Vec<Box<dyn Benchmark>>,
     pub devices: Vec<DeviceSpec>,
+    /// The pairs a round covers, in call-index order.
+    pairs: Vec<Pair>,
 }
 
 /// Applications per data draw.
 const APPS: usize = 7;
 
 impl Suite {
-    /// The seven applications in Table 1 order, each with a data seed drawn
-    /// from `seed`. LULESH builds its mesh analytically and has no data
-    /// seed; its input is the same for every seed.
-    pub fn new(seed: u64) -> Suite {
-        Suite::with_draws(seed, 1)
+    /// The seven applications in Table 1 order, `draws` independent data
+    /// draws of each, every one on both devices: a round covers
+    /// `7 * draws` applications per device. Each data seed is drawn from
+    /// `seed`. LULESH builds its mesh analytically and has no data seed;
+    /// its input is the same for every seed.
+    pub fn with_draws(seed: u64, draws: usize) -> Suite {
+        Suite::every_pair(Suite::draws_of(seed, draws), Suite::devices())
     }
 
-    /// [`Suite::new`] with `draws` independent data draws of every
-    /// application, so a round covers `7 * draws` applications per device.
-    pub fn with_draws(seed: u64, draws: usize) -> Suite {
-        let mut rng = Rng::new(seed ^ 0xda7a_5eed);
-        let apps = (0..draws).flat_map(|_| Suite::draw(&mut rng)).collect();
+    /// The seven applications on both devices, each device with a data draw
+    /// of its own. A round costs what one draw on both devices costs, while
+    /// each application's data-dependent cost (K-Means convergence moves a
+    /// K-Means sweep by up to 2x between data seeds) is averaged over two
+    /// draws instead of repeated on the second device.
+    pub fn draw_per_device(seed: u64) -> Suite {
+        let devices = Suite::devices();
+        let apps = Suite::draws_of(seed, devices.len());
+        let pairs = (0..devices.len())
+            .flat_map(|device| {
+                (device * APPS..(device + 1) * APPS).map(move |app| Pair { app, device })
+            })
+            .collect();
         Suite {
             apps,
-            devices: vec![DeviceSpec::v100(), DeviceSpec::mi250x()],
+            devices,
+            pairs,
         }
+    }
+
+    /// Every application on every device, devices outermost.
+    pub fn every_pair(apps: Vec<Box<dyn Benchmark>>, devices: Vec<DeviceSpec>) -> Suite {
+        let pairs = (0..devices.len())
+            .flat_map(|device| (0..apps.len()).map(move |app| Pair { app, device }))
+            .collect();
+        Suite {
+            apps,
+            devices,
+            pairs,
+        }
+    }
+
+    fn devices() -> Vec<DeviceSpec> {
+        vec![DeviceSpec::v100(), DeviceSpec::mi250x()]
+    }
+
+    fn draws_of(seed: u64, draws: usize) -> Vec<Box<dyn Benchmark>> {
+        let mut rng = Rng::new(seed ^ 0xda7a_5eed);
+        (0..draws).flat_map(|_| Suite::draw(&mut rng)).collect()
     }
 
     fn draw(rng: &mut Rng) -> Vec<Box<dyn Benchmark>> {
@@ -94,16 +128,17 @@ impl Suite {
         ]
     }
 
-    /// Every (application, device) pair, devices outermost.
+    /// The pairs a round covers.
     pub fn pairs(&self) -> Vec<Pair> {
-        (0..self.devices.len())
-            .flat_map(|device| (0..self.apps.len()).map(move |app| Pair { app, device }))
-            .collect()
+        self.pairs.clone()
     }
 
     /// `p`'s position in [`Suite::pairs`].
     pub fn index(&self, p: Pair) -> usize {
-        p.device * self.apps.len() + p.app
+        self.pairs
+            .iter()
+            .position(|&q| q == p)
+            .expect("a pair of this suite")
     }
 
     pub fn bench(&self, p: Pair) -> &dyn Benchmark {
@@ -127,7 +162,7 @@ impl Suite {
     /// `seed`.
     pub fn bounds(&self, seed: u64) -> Vec<f64> {
         let mut rng = Rng::new(seed ^ 0xb0_0d5);
-        (0..self.apps.len() * self.devices.len())
+        (0..self.pairs.len())
             .map(|_| 1.0 + 0.25 * rng.below(37) as f64)
             .collect()
     }

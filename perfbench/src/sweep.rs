@@ -1,5 +1,6 @@
-//! `sweep`: `run_sweep` over every (application, device) pair at
-//! `Scale::Quick`, one pair per call.
+//! `sweep`: `run_sweep` over the seven applications on each device at
+//! `Scale::Quick`, one (application, device) pair per call, each device
+//! with a data draw of its own.
 
 use crate::check::{self, Entry};
 use crate::drive::{self, Call, Workload};
@@ -9,6 +10,7 @@ use crate::suite::{Order, Suite};
 use crate::Args;
 use hpac_harness::runner::{self, SweepOutcome};
 use hpac_harness::space::{Scale, SweepConfig};
+use std::time::Instant;
 
 struct Sweep {
     suite: Suite,
@@ -22,8 +24,11 @@ struct Sweep {
 }
 
 impl Workload for Sweep {
-    fn round(&mut self, _traced: bool, calls: &mut Vec<Call>) {
+    fn round(&mut self, _traced: bool, until: Option<Instant>, calls: &mut Vec<Call>) {
         for p in self.order.next_round() {
+            if drive::past(until) {
+                break;
+            }
             let (out, t0, t1) = drive::timed(|| {
                 runner::run_sweep(self.suite.bench(p), self.suite.device(p), Scale::Quick)
             });
@@ -54,7 +59,7 @@ impl Workload for Sweep {
 
 pub fn run(args: &Args) -> Outcome {
     let (setup_s, (suite, plans)) = drive::setup(|| {
-        let suite = Suite::new(args.seed);
+        let suite = Suite::draw_per_device(args.seed);
         let plans: Vec<Vec<SweepConfig>> = suite.plans();
         suite.warm_up();
         (suite, plans)

@@ -147,7 +147,7 @@ impl Tune {
 }
 
 impl Workload for Tune {
-    fn round(&mut self, traced: bool, calls: &mut Vec<Call>) {
+    fn round(&mut self, traced: bool, until: Option<Instant>, calls: &mut Vec<Call>) {
         let order = self.order.next_round();
         // The service keys plans by application name, so each data draw
         // has the cache to itself: tune-cold empties it before each draw's
@@ -162,6 +162,9 @@ impl Workload for Tune {
                 .filter(|&p| self.suite.draw_of(p) == draw)
                 .collect();
             for p in batch {
+                if drive::past(until) {
+                    return;
+                }
                 if traced && !self.warm {
                     self.probe_before_search(p);
                 }
