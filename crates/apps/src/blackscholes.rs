@@ -11,8 +11,8 @@
 //! paper's "unintuitive" TAF threshold behaviour (Fig 10c).
 
 use crate::common::{
-    current_eval_memo, eval_key, grid_stride_launch_class, AppResult, Benchmark, ComputeMemo,
-    LaunchParams, QoI, RunAccumulator,
+    current_eval_memo, eval_key, grid_stride_launch_class, scoped_input, AppResult, Benchmark,
+    ComputeMemo, LaunchParams, QoI, RunAccumulator,
 };
 use gpu_sim::transfer::Direction;
 use gpu_sim::{AccessPattern, CostProfile, DeviceSpec, LaunchConfig};
@@ -177,19 +177,19 @@ impl Benchmark for Blackscholes {
         lp: &LaunchParams,
         opts: &ExecOptions,
     ) -> Result<AppResult, RegionError> {
-        let options = self.generate();
         // The portfolio is a pure function of these parameters, so they key
-        // the sweep-scoped memo exactly.
+        // both the shared input and the sweep-scoped memo exactly.
+        let params = [
+            self.n_options as u64,
+            self.distinct as u64,
+            self.run_len as u64,
+            self.seed,
+        ];
+        let options = scoped_input(&eval_key("Blackscholes/portfolio", &params), || {
+            self.generate()
+        });
         let memo = current_eval_memo().map(|store| {
-            let key = eval_key(
-                "Blackscholes",
-                &[
-                    self.n_options as u64,
-                    self.distinct as u64,
-                    self.run_len as u64,
-                    self.seed,
-                ],
-            );
+            let key = eval_key("Blackscholes", &params);
             store.get_or_build(&key, || ComputeMemo::from_rows(&options, OPTION_DIMS, 1))
         });
         let mut body = BsBody {

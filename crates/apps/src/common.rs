@@ -6,9 +6,10 @@ use gpu_sim::{CostProfile, DeviceSpec, KernelExec, KernelRecord, KernelStats, La
 use hpac_core::exec::ExecOptions;
 use hpac_core::metrics;
 use hpac_core::region::{ApproxRegion, RegionError};
+use std::any::Any;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, RwLock};
+use std::sync::{Arc, Mutex, RwLock};
 
 /// Launch-shape parameters swept by the paper's design-space exploration
 /// (the `num_teams`-derived "Items per Thread" and the block size).
@@ -225,11 +226,6 @@ impl ComputeMemo {
         self.n_classes
     }
 
-    /// Approximate resident size, for the [`EvalMemo`] byte cap.
-    pub fn approx_bytes(&self) -> usize {
-        self.class_of.len() * 4 + self.n_classes * (1 + self.out_dim * 8)
-    }
-
     /// Produce item `i`'s output into `out`: from the cache when its class
     /// has been computed, else by running `compute` and caching the result.
     pub fn get_or(&self, i: usize, out: &mut [f64], compute: impl FnOnce(&mut [f64])) {
@@ -249,6 +245,24 @@ impl ComputeMemo {
             self.slots[base + d].store(o.to_bits(), Ordering::Relaxed);
         }
         self.filled[c].store(true, Ordering::Release);
+    }
+}
+
+impl ApproxBytes for ComputeMemo {
+    fn approx_bytes(&self) -> usize {
+        self.class_of.len() * 4 + self.n_classes * (1 + self.out_dim * 8)
+    }
+}
+
+/// Approximate resident size of a value an [`EvalMemo`] retains, counted
+/// against the store's byte cap.
+pub trait ApproxBytes {
+    fn approx_bytes(&self) -> usize;
+}
+
+impl ApproxBytes for Vec<f64> {
+    fn approx_bytes(&self) -> usize {
+        self.len() * 8
     }
 }
 
@@ -285,18 +299,24 @@ pub fn eval_key(app: &str, param_bits: &[u64]) -> Vec<u64> {
     key
 }
 
-/// Sweep-scoped store of [`ComputeMemo`]s, shared by every config task of a
-/// harness sweep or tuner search.
+/// A stored [`ComputeMemo`] or app input, recovered by downcast.
+type MemoEntry = Arc<dyn Any + Send + Sync>;
+
+/// Sweep-scoped store of [`ComputeMemo`]s and immutable app inputs, shared
+/// by every config task of a harness sweep or tuner search.
 ///
 /// Per-run memos (PR 6) eliminate duplicate computes *within* one config
 /// evaluation; promoting the memo here lets the accurate-lane outputs —
 /// which do not vary with approximation parameters — be computed once per
-/// sweep and replayed across all configs. Striped like `TuningCache`:
-/// 16 mutex-guarded shards selected by an fnv1a hash of the key, so
-/// parallel config tasks rarely contend. The shard lock is held across a
-/// miss's build, so concurrent requests for the same key build it once.
+/// sweep and replayed across all configs. The same store holds each app's
+/// generated input (portfolio, matrix, mesh topology; see
+/// [`EvalMemo::input`]), which every config of a sweep would otherwise
+/// rebuild identically. Striped like `TuningCache`: 16 mutex-guarded
+/// shards selected by an fnv1a hash of the key, so parallel config tasks
+/// rarely contend. The shard lock is held across a miss's build, so
+/// concurrent requests for the same key build it once.
 pub struct EvalMemo {
-    shards: Vec<Mutex<HashMap<Vec<u64>, Arc<ComputeMemo>>>>,
+    shards: Vec<Mutex<HashMap<Vec<u64>, MemoEntry>>>,
     bytes: AtomicUsize,
 }
 
@@ -317,26 +337,56 @@ impl EvalMemo {
     }
 
     /// Fetch the memo for `key`, building (and, capacity permitting,
-    /// retaining) it on first request.
+    /// retaining) it on first request. Counted by the `EvalMemoHits` /
+    /// `EvalMemoMisses` obs counters.
     pub fn get_or_build(
         &self,
         key: &[u64],
         build: impl FnOnce() -> ComputeMemo,
     ) -> Arc<ComputeMemo> {
+        let (memo, hit) = self.fetch(key, build);
+        hpac_obs::inc(if hit {
+            hpac_obs::CounterId::EvalMemoHits
+        } else {
+            hpac_obs::CounterId::EvalMemoMisses
+        });
+        memo
+    }
+
+    /// Fetch the immutable app input stored under `key`, building (and,
+    /// capacity permitting, retaining) it on first request. Keys follow
+    /// [`eval_key`]'s contract and must not be shared with a compute memo
+    /// or an input of another type; the byte cap is shared with the
+    /// compute memos. Input lookups are not counted as memo hits: the
+    /// `EvalMemo*` counters measure compute reuse only.
+    pub fn input<T>(&self, key: &[u64], build: impl FnOnce() -> T) -> Arc<T>
+    where
+        T: ApproxBytes + Send + Sync + 'static,
+    {
+        self.fetch(key, build).0
+    }
+
+    /// The shared lookup behind [`EvalMemo::get_or_build`] and
+    /// [`EvalMemo::input`]: the value and whether it was already stored.
+    fn fetch<T>(&self, key: &[u64], build: impl FnOnce() -> T) -> (Arc<T>, bool)
+    where
+        T: ApproxBytes + Send + Sync + 'static,
+    {
         let shard = (fnv1a_words(key) as usize) % EVAL_MEMO_SHARDS;
         let mut map = self.shards[shard].lock().unwrap();
-        if let Some(memo) = map.get(key) {
-            hpac_obs::inc(hpac_obs::CounterId::EvalMemoHits);
-            return Arc::clone(memo);
+        if let Some(v) = map.get(key) {
+            let v = Arc::clone(v)
+                .downcast::<T>()
+                .unwrap_or_else(|_| panic!("EvalMemo key {key:?} reused for another type"));
+            return (v, true);
         }
-        hpac_obs::inc(hpac_obs::CounterId::EvalMemoMisses);
-        let memo = Arc::new(build());
-        let sz = memo.approx_bytes();
+        let v = Arc::new(build());
+        let sz = v.approx_bytes();
         if self.bytes.load(Ordering::Relaxed) + sz <= EVAL_MEMO_BYTE_CAP {
             self.bytes.fetch_add(sz, Ordering::Relaxed);
-            map.insert(key.to_vec(), Arc::clone(&memo));
+            map.insert(key.to_vec(), Arc::clone(&v) as MemoEntry);
         }
-        memo
+        (v, false)
     }
 
     /// Interned bytes currently retained.
@@ -345,43 +395,65 @@ impl EvalMemo {
     }
 }
 
-static EVAL_MEMO_SCOPE: OnceLock<RwLock<Option<Arc<EvalMemo>>>> = OnceLock::new();
-
-fn scope_cell() -> &'static RwLock<Option<Arc<EvalMemo>>> {
-    EVAL_MEMO_SCOPE.get_or_init(|| RwLock::new(None))
+/// The process-wide scope slot: the active store and how many
+/// [`EvalMemoScope`] guards currently own it.
+struct ScopeSlot {
+    owners: usize,
+    memo: Option<Arc<EvalMemo>>,
 }
+
+static EVAL_MEMO_SCOPE: RwLock<ScopeSlot> = RwLock::new(ScopeSlot {
+    owners: 0,
+    memo: None,
+});
 
 /// RAII guard for a sweep-scoped [`EvalMemo`]; see [`install_eval_memo`].
 pub struct EvalMemoScope {
-    installed: bool,
+    _owner: (),
 }
 
 impl Drop for EvalMemoScope {
     fn drop(&mut self) {
-        if self.installed {
-            *scope_cell().write().unwrap() = None;
+        let mut slot = EVAL_MEMO_SCOPE.write().unwrap();
+        slot.owners -= 1;
+        if slot.owners == 0 {
+            slot.memo = None;
         }
     }
 }
 
-/// Install a fresh sweep-scoped [`EvalMemo`] for the duration of the
-/// returned guard. If a scope is already active (a tuner search wrapping
-/// harness sweeps), the existing store is reused and the guard is a no-op
-/// on drop, so nested scopes compose: the outermost owner decides the
-/// memo's lifetime. Apps that consult [`current_eval_memo`] behave exactly
-/// as before when no scope is installed.
+/// Install a sweep-scoped [`EvalMemo`] for the duration of the returned
+/// guard. Scopes are reference-counted: if one is already active (a tuner
+/// search wrapping harness sweeps, or concurrent searches admitted side by
+/// side), the new guard shares its store, and the store lives until the
+/// *last* guard drops — whichever owner finishes first never clears it
+/// under the others. Apps that consult [`current_eval_memo`] behave
+/// exactly as before when no scope is installed.
 pub fn install_eval_memo() -> EvalMemoScope {
-    let mut slot = scope_cell().write().unwrap();
-    if slot.is_some() {
-        return EvalMemoScope { installed: false };
+    let mut slot = EVAL_MEMO_SCOPE.write().unwrap();
+    slot.owners += 1;
+    if slot.memo.is_none() {
+        slot.memo = Some(Arc::new(EvalMemo::new()));
     }
-    *slot = Some(Arc::new(EvalMemo::new()));
-    EvalMemoScope { installed: true }
+    EvalMemoScope { _owner: () }
 }
 
 /// The active sweep-scoped store, if any.
 pub fn current_eval_memo() -> Option<Arc<EvalMemo>> {
-    scope_cell().read().unwrap().clone()
+    EVAL_MEMO_SCOPE.read().unwrap().memo.clone()
+}
+
+/// An immutable app input that is a pure function of `key`: shared through
+/// the active sweep scope's [`EvalMemo::input`], or built inline when no
+/// scope is installed.
+pub fn scoped_input<T>(key: &[u64], build: impl FnOnce() -> T) -> Arc<T>
+where
+    T: ApproxBytes + Send + Sync + 'static,
+{
+    match current_eval_memo() {
+        Some(store) => store.input(key, build),
+        None => Arc::new(build()),
+    }
 }
 
 /// Launch class for a single grid-stride kernel over `n_items`: the packed
@@ -402,6 +474,9 @@ pub fn charge_uniform_kernel(
     cost_per_warp_step: &CostProfile,
 ) -> Result<KernelRecord, RegionError> {
     let mut exec = KernelExec::new(spec, launch, 0)?;
+    // Every warp step charges the same cost: resolve it against the
+    // device once instead of per warp.
+    let cost = cost_per_warp_step.precompose(&spec.costs);
     let wpb = launch.warps_per_block(spec);
     let steps = launch.steps();
     let mut remaining = launch.n_items as i64;
@@ -413,7 +488,7 @@ pub fn charge_uniform_kernel(
                     break 'outer;
                 }
                 let lanes = remaining.min(full_warp) as u32;
-                exec.charge(b, w, cost_per_warp_step);
+                exec.charge_precomposed(b, w, &cost);
                 exec.note_step(lanes, 0, 0, false);
                 remaining -= full_warp;
             }
@@ -603,6 +678,7 @@ mod tests {
 
         // Nested installation reuses the outer store; the inner guard's
         // drop must not tear it down.
+        let _serial = SCOPE_TESTS.lock().unwrap_or_else(|e| e.into_inner());
         let outer = install_eval_memo();
         let seen = current_eval_memo().expect("scope active");
         {
@@ -617,6 +693,145 @@ mod tests {
             "inner drop must not clear the outer scope"
         );
         drop(outer);
+    }
+
+    /// Serializes the tests that install sweep scopes: the scope slot is
+    /// process-global, and these tests assert on its state.
+    static SCOPE_TESTS: Mutex<()> = Mutex::new(());
+
+    #[test]
+    fn overlapping_scopes_share_one_store_until_the_last_owner_drops() {
+        use std::sync::Barrier;
+        let _serial = SCOPE_TESTS.lock().unwrap_or_else(|e| e.into_inner());
+        let first_installed = Barrier::new(2);
+        let second_installed = Barrier::new(2);
+        let first_dropped = Barrier::new(2);
+        std::thread::scope(|s| {
+            let first = s.spawn(|| {
+                let scope = install_eval_memo();
+                let store = current_eval_memo().expect("scope active");
+                let key = eval_key("overlap", &[1]);
+                store.input(&key, || vec![1.0, 2.0]);
+                first_installed.wait();
+                second_installed.wait();
+                drop(scope);
+                first_dropped.wait();
+                store
+            });
+            let second = s.spawn(|| {
+                first_installed.wait();
+                let scope = install_eval_memo();
+                let seen = current_eval_memo().expect("scope active");
+                second_installed.wait();
+                first_dropped.wait();
+                // The first owner has dropped: the store and its inputs
+                // must still be there for the second.
+                let after = current_eval_memo().expect("second owner keeps the scope");
+                assert!(Arc::ptr_eq(&seen, &after));
+                let key = eval_key("overlap", &[1]);
+                let input = after.input(&key, || -> Vec<f64> { panic!("must not rebuild") });
+                assert_eq!(*input, vec![1.0, 2.0]);
+                drop(scope);
+                seen
+            });
+            let a = first.join().unwrap();
+            let b = second.join().unwrap();
+            assert!(Arc::ptr_eq(&a, &b), "overlapping owners share one store");
+        });
+        assert!(
+            current_eval_memo().is_none(),
+            "the last owner's drop clears the scope"
+        );
+    }
+
+    #[test]
+    fn scoped_input_builds_inline_without_a_scope_and_once_within_one() {
+        let _serial = SCOPE_TESTS.lock().unwrap_or_else(|e| e.into_inner());
+        let key = eval_key("inputs", &[7]);
+        let builds = AtomicUsize::new(0);
+        let build = || {
+            builds.fetch_add(1, Ordering::Relaxed);
+            vec![3.0; 4]
+        };
+        let a = scoped_input(&key, build);
+        let b = scoped_input(&key, build);
+        assert!(!Arc::ptr_eq(&a, &b), "no scope: each call builds its own");
+        assert_eq!(builds.load(Ordering::Relaxed), 2);
+        {
+            let _scope = install_eval_memo();
+            let c = scoped_input(&key, build);
+            let d = scoped_input(&key, build);
+            assert!(Arc::ptr_eq(&c, &d));
+            assert_eq!(*c, *a);
+            assert_eq!(builds.load(Ordering::Relaxed), 3);
+            let store = current_eval_memo().unwrap();
+            assert!(store.resident_bytes() >= 32, "counted against the cap");
+        }
+    }
+
+    /// The uniform kernel precomposes its cost once; that must equal
+    /// charging every warp step from the profile itself, bit for bit.
+    #[test]
+    fn precomposed_uniform_charge_matches_per_warp_charging() {
+        fn per_warp(spec: &DeviceSpec, launch: &LaunchConfig, cost: &CostProfile) -> KernelRecord {
+            let mut exec = KernelExec::new(spec, launch, 0).unwrap();
+            let wpb = launch.warps_per_block(spec);
+            let mut remaining = launch.n_items as i64;
+            let full_warp = spec.warp_size as i64;
+            'outer: for _s in 0..launch.steps() {
+                for b in 0..launch.n_blocks {
+                    for w in 0..wpb {
+                        if remaining <= 0 {
+                            break 'outer;
+                        }
+                        let lanes = remaining.min(full_warp) as u32;
+                        exec.charge_precomposed(b, w, &cost.precompose(&spec.costs));
+                        exec.note_step(lanes, 0, 0, false);
+                        remaining -= full_warp;
+                    }
+                }
+            }
+            exec.finish()
+        }
+        fn bits(r: &KernelRecord) -> Vec<u64> {
+            let t = &r.timing;
+            let s = &r.stats;
+            vec![
+                t.cycles.to_bits(),
+                t.seconds.to_bits(),
+                t.waves as u64,
+                t.exposed_latency_fraction.to_bits(),
+                s.total_issue_cycles.to_bits(),
+                s.total_latency_cycles.to_bits(),
+                s.global_txns,
+                s.warp_steps,
+                s.accurate_lanes,
+            ]
+        }
+        let costs = [
+            CostProfile::new()
+                .flops(2.0)
+                .global_read(32, 16, gpu_sim::AccessPattern::Coalesced),
+            CostProfile::new()
+                .flops(0.1)
+                .sfu(3.0)
+                .shared_ops(0.7)
+                .global_write(32, 8, gpu_sim::AccessPattern::Coalesced),
+        ];
+        for spec in [DeviceSpec::v100(), DeviceSpec::mi250x()] {
+            for (n, bs, ipt) in [
+                (1000, 128, 1),
+                (4097, 256, 3),
+                (31, 64, 1),
+                (100_000, 96, 8),
+            ] {
+                let lc = LaunchConfig::for_items_per_thread(n, bs, ipt);
+                for cost in &costs {
+                    let got = charge_uniform_kernel(&spec, &lc, cost).unwrap();
+                    assert_eq!(bits(&got), bits(&per_warp(&spec, &lc, cost)), "{lc:?}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -19,12 +19,15 @@
 //!
 //! QoI: the final origin energy (Table 1).
 
-use crate::common::{AppResult, Benchmark, LaunchParams, QoI, RunAccumulator};
+use crate::common::{
+    eval_key, scoped_input, AppResult, ApproxBytes, Benchmark, LaunchParams, QoI, RunAccumulator,
+};
 use gpu_sim::transfer::Direction;
 use gpu_sim::{AccessPattern, CostProfile, DeviceSpec, LaunchConfig};
 use hpac_core::exec::batch;
 use hpac_core::exec::{BlockField, ExecOptions, RegionBody, StoreVisibility};
 use hpac_core::region::{ApproxRegion, RegionError};
+use std::sync::Arc;
 
 /// Configuration for the LULESH proxy.
 #[derive(Debug, Clone, Copy)]
@@ -53,7 +56,74 @@ impl Default for Lulesh {
     }
 }
 
-/// Mesh connectivity and mutable simulation state.
+/// The immutable part of a mesh: connectivity plus the initial nodal
+/// masses and element volumes. A pure function of the edge length, so a
+/// sweep scope shares one copy across every config.
+pub struct MeshTopology {
+    /// Node ids of each element's 8 corners (x-fastest corner order).
+    pub corners: Vec<[usize; 8]>,
+    /// For each node, (element, corner) pairs that touch it.
+    pub node_elems: Vec<Vec<(usize, usize)>>,
+    /// Nodal masses.
+    pub mass: Vec<f64>,
+    /// Initial element volumes.
+    pub vol0: Vec<f64>,
+}
+
+impl MeshTopology {
+    pub fn new(edge: usize) -> Self {
+        let nn = edge + 1;
+        let n_elems = edge * edge * edge;
+        let n_nodes = nn * nn * nn;
+        let h = 1.0 / edge as f64;
+
+        let node_id = |x: usize, y: usize, z: usize| (z * nn + y) * nn + x;
+        let mut corners = Vec::with_capacity(n_elems);
+        for z in 0..edge {
+            for y in 0..edge {
+                for x in 0..edge {
+                    let mut c = [0usize; 8];
+                    for (k, off) in CORNER_OFFS.iter().enumerate() {
+                        c[k] = node_id(x + off[0], y + off[1], z + off[2]);
+                    }
+                    corners.push(c);
+                }
+            }
+        }
+        let mut node_elems = vec![Vec::new(); n_nodes];
+        for (e, cs) in corners.iter().enumerate() {
+            for (k, &n) in cs.iter().enumerate() {
+                node_elems[n].push((e, k));
+            }
+        }
+
+        let vol0 = vec![h * h * h; n_elems];
+        let mut mass = vec![0.0; n_nodes];
+        for cs in &corners {
+            for &n in cs {
+                mass[n] += h * h * h / 8.0;
+            }
+        }
+        MeshTopology {
+            corners,
+            node_elems,
+            mass,
+            vol0,
+        }
+    }
+}
+
+impl ApproxBytes for MeshTopology {
+    fn approx_bytes(&self) -> usize {
+        let incidences: usize = self.node_elems.iter().map(Vec::len).sum();
+        self.corners.len() * 64
+            + self.node_elems.len() * 24
+            + incidences * 16
+            + (self.mass.len() + self.vol0.len()) * 8
+    }
+}
+
+/// Mesh topology and mutable simulation state.
 ///
 /// Written fields live in [`BlockField`]s so the five per-timestep kernels
 /// can run as one engine batch ([`batch::run_batch`]): bodies then share
@@ -65,21 +135,17 @@ pub struct Mesh {
     pub edge: usize,
     pub n_elems: usize,
     pub n_nodes: usize,
-    /// Node ids of each element's 8 corners (x-fastest corner order).
-    pub corners: Vec<[usize; 8]>,
-    /// For each node, (element, corner) pairs that touch it.
-    pub node_elems: Vec<Vec<(usize, usize)>>,
+    /// Connectivity, masses and initial volumes (shared, immutable).
+    pub topo: Arc<MeshTopology>,
     // Node-centred state.
     pub pos: BlockField,
     pub vel: BlockField,
     pub force: BlockField,
-    pub mass: Vec<f64>,
     // Element-centred state.
     pub energy: BlockField,
     pub pressure: BlockField,
     pub visc: BlockField,
     pub volume: BlockField,
-    pub vol0: Vec<f64>,
     /// Volume change of the last EOS update (feeds the next viscosity calc).
     pub delv: BlockField,
     // Per-element force contributions (stress + hourglass).
@@ -133,32 +199,20 @@ fn hg_sign(c: usize) -> f64 {
 }
 
 impl Mesh {
+    /// A fresh mesh with its own topology.
     pub fn new(cfg: &Lulesh) -> Self {
+        Mesh::from_topology(cfg, Arc::new(MeshTopology::new(cfg.edge)))
+    }
+
+    /// Fresh simulation state over `topo`, which must have been built for
+    /// `cfg.edge`.
+    pub fn from_topology(cfg: &Lulesh, topo: Arc<MeshTopology>) -> Self {
         let edge = cfg.edge;
         let nn = edge + 1;
         let n_elems = edge * edge * edge;
         let n_nodes = nn * nn * nn;
         let h = 1.0 / edge as f64;
-
-        let node_id = |x: usize, y: usize, z: usize| (z * nn + y) * nn + x;
-        let mut corners = Vec::with_capacity(n_elems);
-        for z in 0..edge {
-            for y in 0..edge {
-                for x in 0..edge {
-                    let mut c = [0usize; 8];
-                    for (k, off) in CORNER_OFFS.iter().enumerate() {
-                        c[k] = node_id(x + off[0], y + off[1], z + off[2]);
-                    }
-                    corners.push(c);
-                }
-            }
-        }
-        let mut node_elems = vec![Vec::new(); n_nodes];
-        for (e, cs) in corners.iter().enumerate() {
-            for (k, &n) in cs.iter().enumerate() {
-                node_elems[n].push((e, k));
-            }
-        }
+        debug_assert_eq!(topo.corners.len(), n_elems);
 
         let mut pos = Vec::with_capacity(3 * n_nodes);
         for z in 0..nn {
@@ -169,14 +223,6 @@ impl Mesh {
             }
         }
 
-        let vol0 = vec![h * h * h; n_elems];
-        let mut mass = vec![0.0; n_nodes];
-        for cs in &corners {
-            for &n in cs {
-                mass[n] += h * h * h / 8.0;
-            }
-        }
-
         let mut energy = vec![0.0; n_elems];
         energy[0] = cfg.e0; // Sedov deposit at the origin element.
 
@@ -184,17 +230,14 @@ impl Mesh {
             edge,
             n_elems,
             n_nodes,
-            corners,
-            node_elems,
             pos: BlockField::from_vec(pos),
             vel: BlockField::from_vec(vec![0.0; 3 * n_nodes]),
             force: BlockField::from_vec(vec![0.0; 3 * n_nodes]),
-            mass,
             energy: BlockField::from_vec(energy),
             pressure: BlockField::from_vec(vec![0.0; n_elems]),
             visc: BlockField::from_vec(vec![0.0; n_elems]),
-            volume: BlockField::from_vec(vol0.clone()),
-            vol0,
+            volume: BlockField::from_vec(topo.vol0.clone()),
+            topo,
             delv: BlockField::from_vec(vec![0.0; n_elems]),
             stress_f: BlockField::from_vec(vec![0.0; 3 * n_elems]),
             hg_f: BlockField::from_vec(vec![0.0; 3 * n_elems]),
@@ -206,7 +249,7 @@ impl Mesh {
     /// spanned by the three corner edges — exact for our initially
     /// rectilinear mesh and a good proxy under small deformation).
     pub fn elem_volume(&self, e: usize) -> f64 {
-        let c = &self.corners[e];
+        let c = &self.topo.corners[e];
         let p0 = get3(&self.pos, c[0]);
         let a = sub(get3(&self.pos, c[1]), p0);
         let b = sub(get3(&self.pos, c[2]), p0);
@@ -219,7 +262,7 @@ impl Mesh {
     /// Mean corner velocity of an element, per direction.
     fn mean_corner_vel(&self, e: usize) -> [f64; 3] {
         let mut m = [0.0; 3];
-        for &n in &self.corners[e] {
+        for &n in &self.topo.corners[e] {
             let v = get3(&self.vel, n);
             for (d, md) in m.iter_mut().enumerate() {
                 *md += v[d];
@@ -234,7 +277,7 @@ impl Mesh {
     /// Hourglass-mode velocity amplitude of an element, per direction.
     fn hg_mode_vel(&self, e: usize) -> [f64; 3] {
         let mut m = [0.0; 3];
-        for (k, &n) in self.corners[e].iter().enumerate() {
+        for (k, &n) in self.topo.corners[e].iter().enumerate() {
             let s = hg_sign(k);
             let v = get3(&self.vel, n);
             for (d, md) in m.iter_mut().enumerate() {
@@ -274,16 +317,16 @@ impl RegionBody for HgControlBody<'_> {
     }
 
     fn inputs(&self, e: usize, buf: &mut [f64]) {
-        buf[0] = self.mesh.volume.get(e) / self.mesh.vol0[e];
+        buf[0] = self.mesh.volume.get(e) / self.mesh.topo.vol0[e];
         buf[1] = self.mesh.energy.get(e);
         buf[2] = self.mesh.pressure.get(e);
-        buf[3] = self.mesh.delv.get(e) / self.mesh.vol0[e];
+        buf[3] = self.mesh.delv.get(e) / self.mesh.topo.vol0[e];
     }
 
     fn compute(&self, e: usize, out: &mut [f64]) {
         let m = &self.mesh;
         let vol = m.volume.get(e);
-        let dens = m.vol0[e] / vol.max(1e-12);
+        let dens = m.topo.vol0[e] / vol.max(1e-12);
         // Sound speed from the ideal-gas EOS; the coefficient scales with
         // rho * c * characteristic area (standard Flanagan-Belytschko).
         let ss = ((m.pressure.get(e) + 1e-12) / dens.max(1e-12))
@@ -453,7 +496,7 @@ impl RegionBody for NodeBody<'_> {
     fn compute(&self, n: usize, out: &mut [f64]) {
         let m = &self.mesh;
         let mut f = [0.0; 3];
-        for &(e, corner) in &m.node_elems[n] {
+        for &(e, corner) in &m.topo.node_elems[n] {
             let sf = get3(&m.stress_f, e);
             let hf = get3(&m.hg_f, e);
             for (d, fd) in f.iter_mut().enumerate() {
@@ -479,7 +522,7 @@ impl RegionBody for NodeBody<'_> {
     fn store_shared(&self, n: usize, out: &[f64]) {
         let m = self.mesh;
         set3(&m.force, n, [out[0], out[1], out[2]]);
-        let inv_m = 1.0 / m.mass[n];
+        let inv_m = 1.0 / m.topo.mass[n];
         for (d, &o) in out.iter().enumerate() {
             let a = o * inv_m;
             let v = m.vel.get(3 * n + d) + a * self.dt;
@@ -560,7 +603,11 @@ impl Benchmark for Lulesh {
         lp: &LaunchParams,
         opts: &ExecOptions,
     ) -> Result<AppResult, RegionError> {
-        let mesh = Mesh::new(self);
+        // Topology depends only on the edge length; the state is per run.
+        let topo = scoped_input(&eval_key("LULESH/topology", &[self.edge as u64]), || {
+            MeshTopology::new(self.edge)
+        });
+        let mesh = Mesh::from_topology(self, topo);
         let n_elems = mesh.n_elems;
         let n_nodes = mesh.n_nodes;
         let area = (1.0 / self.edge as f64).powi(2);
@@ -577,12 +624,12 @@ impl Benchmark for Lulesh {
         let node_launch = LaunchConfig::one_item_per_thread(n_nodes, lp.block_size);
         let elem_acc_launch = LaunchConfig::one_item_per_thread(n_elems, lp.block_size);
 
-        // All five kernels of a timestep go down as ONE engine submission
-        // ([`batch::run_batch`]); the engine's phase barriers serialize the
-        // kernels (2 reads hg_coef from 1, 3 reads visc from 1, 4 reads
-        // stress_f/hg_f from 3/2, 5 reads pos from 4) while blocks within
-        // each kernel still fan out, so workers never park and respawn
-        // between the five launches.
+        // All five kernels of a timestep go down as ONE batch
+        // ([`batch::run_batch`]); its phases serialize the kernels (2 reads
+        // hg_coef from 1, 3 reads visc from 1, 4 reads stress_f/hg_f from
+        // 3/2, 5 reads pos from 4). These launches are grid-stride, not
+        // block partitions, so the batch runs on the calling thread under
+        // every executor.
         let hg_control = HgControlBody {
             mesh: &mesh,
             hgcoef: self.hgcoef,
@@ -644,7 +691,7 @@ mod tests {
         assert_eq!(mesh.n_elems, 512);
         assert_eq!(mesh.n_nodes, 729);
         // Interior nodes touch 8 elements, corner nodes 1.
-        let counts: Vec<usize> = mesh.node_elems.iter().map(|v| v.len()).collect();
+        let counts: Vec<usize> = mesh.topo.node_elems.iter().map(|v| v.len()).collect();
         assert_eq!(counts.iter().max(), Some(&8));
         assert_eq!(counts.iter().min(), Some(&1));
         // Total (element, corner) incidences = 8 per element.
@@ -665,7 +712,7 @@ mod tests {
     #[test]
     fn node_mass_conserves_total() {
         let mesh = Mesh::new(&small());
-        let total: f64 = mesh.mass.iter().sum();
+        let total: f64 = mesh.topo.mass.iter().sum();
         assert!((total - 1.0).abs() < 1e-9, "unit cube mass {total}");
     }
 

@@ -16,7 +16,8 @@
 //! QoI: the final residual norm of the solver.
 
 use crate::common::{
-    charge_uniform_kernel, AppResult, Benchmark, LaunchParams, QoI, RunAccumulator,
+    charge_uniform_kernel, eval_key, scoped_input, AppResult, ApproxBytes, Benchmark, LaunchParams,
+    QoI, RunAccumulator,
 };
 use gpu_sim::transfer::Direction;
 use gpu_sim::{AccessPattern, CostProfile, DeviceSpec, LaunchConfig};
@@ -66,6 +67,12 @@ impl Csr {
     /// rules out iACT).
     pub fn row_len(&self, i: usize) -> usize {
         self.row_ptr[i + 1] - self.row_ptr[i]
+    }
+}
+
+impl ApproxBytes for Csr {
+    fn approx_bytes(&self) -> usize {
+        (self.row_ptr.len() + self.col_idx.len() + self.values.len()) * 8
     }
 }
 
@@ -180,8 +187,15 @@ impl Benchmark for MiniFe {
         lp: &LaunchParams,
         opts: &ExecOptions,
     ) -> Result<AppResult, RegionError> {
-        let a = self.assemble();
-        let b = self.rhs();
+        // The operator depends only on the grid, the right-hand side on the
+        // grid and seed: both are shared across a sweep scope's configs.
+        let a = scoped_input(&eval_key("MiniFE/csr", &[self.nx as u64]), || {
+            self.assemble()
+        });
+        let b = scoped_input(
+            &eval_key("MiniFE/rhs", &[self.nx as u64, self.seed]),
+            || self.rhs(),
+        );
         let n = a.n;
         let avg_nnz = a.nnz() as f64 / n as f64;
 
@@ -194,8 +208,8 @@ impl Benchmark for MiniFe {
 
         // CG state.
         let mut x = vec![0.0; n];
-        let mut r: Vec<f64> = b.clone();
-        let mut p: Vec<f64> = b.clone();
+        let mut r: Vec<f64> = b.to_vec();
+        let mut p: Vec<f64> = b.to_vec();
         let mut q = vec![0.0; n];
         let mut rho: f64 = r.iter().map(|v| v * v).sum();
 

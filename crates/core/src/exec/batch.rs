@@ -19,11 +19,16 @@
 //! between phases gives the happens-before edge. Within a phase the usual
 //! block-decomposition contract applies, so each kernel's walk — and
 //! therefore the whole batch — is bit-identical to submitting the kernels
-//! one by one on either executor.
+//! one by one on either executor. As in the per-kernel walk, blocks of
+//! such bodies run concurrently only when every launch of the batch is an
+//! undisturbed `BlockLocal` partition; otherwise the batch runs its
+//! kernels in order on the calling thread.
 
 use crate::exec::body::{RegionBody, SharedAccess, StoreVisibility};
 use crate::exec::engine::engine;
-use crate::exec::walk::{chunk_ranges, walk_block, Geom, WalkArena, AUTO_FANOUT_MIN_WARP_STEPS};
+use crate::exec::walk::{
+    block_partitioned, chunk_ranges, walk_block, Geom, WalkArena, AUTO_FANOUT_MIN_WARP_STEPS,
+};
 use crate::exec::{resolve, ExecOptions, Executor, ResolvedKernel, ResolvedPolicy};
 use crate::region::{ApproxRegion, RegionError};
 use gpu_sim::{BlockAccumulator, DeviceSpec, KernelExec, KernelRecord};
@@ -131,7 +136,10 @@ pub fn run_batch(
         Executor::ParallelBlocks => true,
         Executor::Auto => modeled >= AUTO_FANOUT_MIN_WARP_STEPS,
     };
-    let parallel = wants_fan_out && width > 1 && !engine().is_nested();
+    // Batched bodies are BlockPrivate: blocks may only run concurrently
+    // when every kernel's launch partitions items by block.
+    let parallel =
+        wants_fan_out && width > 1 && !engine().is_nested() && geoms.iter().all(block_partitioned);
 
     let per_kernel: Vec<Vec<Vec<BlockAccumulator>>> = if parallel {
         let chunks: Vec<Vec<(u32, u32)>> = geoms

@@ -37,7 +37,9 @@ pub enum StoreVisibility {
     /// Legal only under [`gpu_sim::Schedule::BlockLocal`]-style launches
     /// where blocks own disjoint item ranges (Leukocyte's in-kernel Jacobi
     /// sweeps); the parallel executor commits such stores inline from the
-    /// block's worker, so the block sees its own writes immediately.
+    /// block's worker, so the block sees its own writes immediately. Any
+    /// other launch — including a `BlockLocal` one that perforation
+    /// resolves to a grid-stride walk — runs on the sequential reference.
     BlockPrivate,
     /// `compute` reads stores of other blocks. Such bodies always execute
     /// on the sequential reference executor, because no buffering or

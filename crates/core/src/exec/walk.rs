@@ -225,15 +225,34 @@ pub(crate) fn chunk_ranges(n: u32, threads: usize) -> Vec<(u32, u32)> {
 /// worker pool (task dispatch, per-chunk arenas, store buffering).
 pub(crate) const AUTO_FANOUT_MIN_WARP_STEPS: usize = 4096;
 
-fn should_fan_out(geom: &Geom, opts: &ExecOptions, width: usize) -> bool {
-    let wants = match opts.executor {
-        Executor::Sequential => false,
-        Executor::ParallelBlocks => true,
-        Executor::Auto => {
-            geom.n_blocks as usize * geom.warps_per_block as usize * geom.steps
-                >= AUTO_FANOUT_MIN_WARP_STEPS
-        }
-    };
+/// Whether each block of this walk owns a disjoint item range, as
+/// [`StoreVisibility::BlockPrivate`] bodies require before their blocks may
+/// run concurrently. Only an undisturbed `BlockLocal` launch partitions
+/// items by block; a perforated launch is resolved to a grid-stride walk,
+/// where blocks interleave items and would write each other's partitions.
+pub(crate) fn block_partitioned(geom: &Geom) -> bool {
+    geom.launch.schedule == Schedule::BlockLocal && geom.item_lo == 0
+}
+
+/// Whether `body`'s blocks may fan out at all, whatever the executor.
+fn splittable(geom: &Geom, body: &dyn RegionBody) -> bool {
+    match body.store_visibility() {
+        StoreVisibility::Independent => true,
+        StoreVisibility::BlockPrivate => block_partitioned(geom),
+        StoreVisibility::Global => false,
+    }
+}
+
+fn should_fan_out(geom: &Geom, opts: &ExecOptions, width: usize, may_split: bool) -> bool {
+    let wants = may_split
+        && match opts.executor {
+            Executor::Sequential => false,
+            Executor::ParallelBlocks => true,
+            Executor::Auto => {
+                geom.n_blocks as usize * geom.warps_per_block as usize * geom.steps
+                    >= AUTO_FANOUT_MIN_WARP_STEPS
+            }
+        };
     let fan = wants && width > 1 && geom.n_blocks > 1 && !engine().is_nested();
     if hpac_obs::enabled() && matches!(opts.executor, Executor::Auto) {
         hpac_obs::inc(if fan {
@@ -290,7 +309,7 @@ pub(crate) fn execute<P: TechniquePolicy + ?Sized>(
     // worker) run inline — the engine's depth guard would serialize them
     // anyway, and skipping the fan-out avoids pointless store buffering.
     let width = engine().width_for(opts);
-    let parallel = should_fan_out(&geom, opts, width);
+    let parallel = should_fan_out(&geom, opts, width, splittable(&geom, body));
     let wpb = geom.warps_per_block as usize;
     let _walk = hpac_obs::span(
         hpac_obs::SpanId::KernelWalk,
@@ -364,9 +383,10 @@ pub(crate) fn execute<P: TechniquePolicy + ?Sized>(
                 check_ceiling(&exec, opts)?;
             }
         }
-        // Sequential reference, or a Global-visibility body that must stay
-        // on it: blocks walked one after another, stores committed inline,
-        // one arena and one accumulator reused for the whole launch.
+        // Sequential reference, or a body that must stay on it (Global
+        // visibility, or BlockPrivate without a block partition): blocks
+        // walked one after another, stores committed inline, one arena and
+        // one accumulator reused for the whole launch.
         _ => {
             let mut arena = WalkArena::new(&geom);
             let mut acc = BlockAccumulator::new(wpb, geom.spec.costs);

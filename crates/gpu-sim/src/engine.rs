@@ -153,8 +153,10 @@ pub struct KernelExec {
     spec: DeviceSpec,
     launch: LaunchConfig,
     shared_bytes_per_block: usize,
-    /// blocks[b][w] = accumulated cycles of warp w in block b.
-    blocks: Vec<Vec<WarpCycles>>,
+    warps_per_block: usize,
+    /// warps[b * warps_per_block + w] = accumulated cycles of warp w in
+    /// block b (one flat allocation per launch).
+    warps: Vec<WarpCycles>,
     stats: KernelStats,
 }
 
@@ -174,12 +176,13 @@ impl KernelExec {
                 limit: spec.shared_mem_per_block,
             });
         }
-        let warps = launch.warps_per_block(spec) as usize;
+        let warps_per_block = launch.warps_per_block(spec) as usize;
         Ok(KernelExec {
             spec: *spec,
             launch: *launch,
             shared_bytes_per_block,
-            blocks: vec![vec![WarpCycles::default(); warps]; launch.n_blocks as usize],
+            warps_per_block,
+            warps: vec![WarpCycles::default(); warps_per_block * launch.n_blocks as usize],
             stats: KernelStats::default(),
         })
     }
@@ -192,14 +195,17 @@ impl KernelExec {
         &self.launch
     }
 
-    /// Charge one warp-step's cost to warp `warp` of block `block` and
-    /// update aggregate statistics.
-    pub fn charge(&mut self, block: u32, warp: u32, profile: &CostProfile) {
-        let params = self.spec.costs;
-        self.stats.total_issue_cycles += profile.issue_cycles(&params);
-        self.stats.total_latency_cycles += profile.latency_cycles(&params);
-        self.stats.global_txns += profile.global_txns as u64;
-        self.blocks[block as usize][warp as usize].charge(profile, &params);
+    /// Charge one warp-step's cost, already resolved against this
+    /// device's parameters (see [`CostProfile::precompose`]), to warp
+    /// `warp` of block `block` and update aggregate statistics. Callers
+    /// that charge one cost many times precompose it once.
+    pub fn charge_precomposed(&mut self, block: u32, warp: u32, cost: &PrecomposedCost) {
+        self.stats.total_issue_cycles += cost.issue;
+        self.stats.total_latency_cycles += cost.latency;
+        self.stats.global_txns += cost.global_txns as u64;
+        let w = &mut self.warps[block as usize * self.warps_per_block + warp as usize];
+        w.issue += cost.issue;
+        w.latency += cost.latency;
     }
 
     /// Record the outcome of one warp step for statistics.
@@ -222,7 +228,8 @@ impl KernelExec {
     /// order-independent, and the fixed order makes the f64 cycle totals
     /// bit-deterministic as well.
     pub fn merge_block(&mut self, block: u32, acc: &BlockAccumulator) {
-        let warps = &mut self.blocks[block as usize];
+        let lo = block as usize * self.warps_per_block;
+        let warps = &mut self.warps[lo..lo + self.warps_per_block];
         debug_assert_eq!(warps.len(), acc.warps.len());
         for (w, cycles) in warps.iter_mut().zip(&acc.warps) {
             w.issue += cycles.issue;
@@ -250,7 +257,7 @@ impl KernelExec {
             &self.spec,
             &self.launch,
             self.shared_bytes_per_block,
-            &self.blocks,
+            &self.warps,
         );
         MODELED_SECONDS.with(|m| m.set(m.get() + timing.seconds));
         // Every kernel — slice walk, block tasks, uniform charge — funnels
@@ -283,6 +290,10 @@ mod tests {
         DeviceSpec::v100()
     }
 
+    fn pre(c: &CostProfile) -> PrecomposedCost {
+        c.precompose(&spec().costs)
+    }
+
     fn small_launch() -> LaunchConfig {
         LaunchConfig::one_item_per_thread(1024, 128)
     }
@@ -312,9 +323,9 @@ mod tests {
         let c = CostProfile::new()
             .flops(10.0)
             .global_read(32, 8, AccessPattern::Coalesced);
-        k.charge(0, 0, &c);
-        k.charge(0, 0, &c);
-        k.charge(1, 3, &c);
+        k.charge_precomposed(0, 0, &pre(&c));
+        k.charge_precomposed(0, 0, &pre(&c));
+        k.charge_precomposed(1, 3, &pre(&c));
         let rec = k.finish();
         assert_eq!(rec.stats.global_txns, 6); // 2 txns per charge
         assert!(rec.stats.total_issue_cycles > 0.0);
@@ -349,7 +360,7 @@ mod tests {
             .flops(1000.0)
             .global_read(32, 8, AccessPattern::Coalesced);
         for b in 0..8 {
-            k.charge(b, 0, &c);
+            k.charge_precomposed(b, 0, &pre(&c));
         }
         let lb = k.lower_bound_seconds();
         assert!(lb > 0.0);
@@ -366,7 +377,7 @@ mod tests {
         let mut total = 0.0;
         for _ in 0..2 {
             let mut k = KernelExec::new(&spec(), &small_launch(), 0).unwrap();
-            k.charge(0, 0, &CostProfile::new().flops(50.0));
+            k.charge_precomposed(0, 0, &pre(&CostProfile::new().flops(50.0)));
             total += k.finish().seconds();
         }
         assert_eq!(modeled_seconds(), total);
@@ -380,11 +391,11 @@ mod tests {
         let apx = CostProfile::new().flops(10.0);
 
         let mut k1 = KernelExec::new(&spec(), &small_launch(), 0).unwrap();
-        k1.charge(0, 0, &acc);
+        k1.charge_precomposed(0, 0, &pre(&acc));
         let uniform = k1.finish();
 
         let mut k2 = KernelExec::new(&spec(), &small_launch(), 0).unwrap();
-        k2.charge(0, 0, &acc.add(&apx)); // both paths serialized
+        k2.charge_precomposed(0, 0, &pre(&acc.add(&apx))); // both paths serialized
         let divergent = k2.finish();
 
         assert!(divergent.stats.total_issue_cycles > uniform.stats.total_issue_cycles);

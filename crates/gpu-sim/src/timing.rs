@@ -77,12 +77,85 @@ pub struct TimingBreakdown {
     pub exposed_latency_fraction: f64,
 }
 
-/// Model the kernel duration for per-block warp cycle totals.
+/// Model the kernel duration for per-warp cycle totals.
 ///
-/// `blocks[b]` holds the accumulated [`WarpCycles`] of every warp in block
-/// `b`. Blocks are assigned `block -> SM (block % sm_count)` and executed in
+/// `warps` holds the accumulated [`WarpCycles`] of every warp of the launch,
+/// block-major: block `b` is `warps[b * wpb..(b + 1) * wpb]` with
+/// `wpb = launch.warps_per_block(spec)`, for `launch.n_blocks` blocks.
+/// Blocks are assigned `block -> SM (block % sm_count)` and executed in
 /// waves of `residency.blocks_per_sm`.
+///
+/// Each SM's queue is walked by stride (`sm, sm + sm_count, ...`) in
+/// chunks of `blocks_per_sm`, so the fold is O(blocks) with no per-SM
+/// allocation, and it performs the same f64 operations in the same order
+/// as filtering the blocks once per SM would.
 pub fn kernel_time(
+    spec: &DeviceSpec,
+    launch: &LaunchConfig,
+    shared_bytes_per_block: usize,
+    warps: &[WarpCycles],
+) -> TimingBreakdown {
+    let res = residency(spec, launch, shared_bytes_per_block);
+    let sm_count = spec.sm_count as usize;
+    let r = res.blocks_per_sm as usize;
+    let n_blocks = launch.n_blocks as usize;
+    let wpb = launch.warps_per_block(spec) as usize;
+    assert_eq!(warps.len(), n_blocks * wpb, "one WarpCycles per warp");
+
+    // The busiest SM as (cycles, issue-only cycles); ties go to the later
+    // SM, as `Iterator::max_by` breaks them.
+    let mut busiest = (0.0f64, 0.0f64);
+    let mut max_waves = 0u32;
+    for sm in 0..sm_count {
+        let mut sm_total = 0.0f64;
+        let mut issue_total = 0.0f64;
+        let mut waves = 0u32;
+        let mut b = sm;
+        while b < n_blocks {
+            waves += 1;
+            let mut wave_issue = 0.0f64;
+            let mut wave_longest = 0.0f64;
+            for _ in 0..r {
+                if b >= n_blocks {
+                    break;
+                }
+                for w in &warps[b * wpb..(b + 1) * wpb] {
+                    wave_issue += w.issue;
+                    wave_longest = wave_longest.max(w.issue + w.latency);
+                }
+                wave_issue += spec.costs.block_overhead_cycles;
+                b += sm_count;
+            }
+            sm_total += wave_issue.max(wave_longest);
+            issue_total += wave_issue;
+        }
+        if sm == 0 || sm_total.total_cmp(&busiest.0).is_ge() {
+            busiest = (sm_total, issue_total);
+        }
+        max_waves = max_waves.max(waves);
+    }
+
+    let (cycles, issue_only) = busiest;
+    let exposed = if cycles > 0.0 {
+        ((cycles - issue_only) / cycles).max(0.0)
+    } else {
+        0.0
+    };
+
+    let seconds = spec.cycles_to_seconds(cycles) + spec.costs.kernel_launch_us * 1e-6;
+    TimingBreakdown {
+        cycles,
+        seconds,
+        waves: max_waves,
+        residency: res,
+        exposed_latency_fraction: exposed,
+    }
+}
+
+/// The filter-per-SM fold [`kernel_time`] replaced, kept verbatim over
+/// per-block warp vectors as the bit-identity oracle for the strided walk.
+#[cfg(test)]
+pub(crate) fn kernel_time_filtered(
     spec: &DeviceSpec,
     launch: &LaunchConfig,
     shared_bytes_per_block: usize,
@@ -149,6 +222,7 @@ pub fn kernel_time(
 mod tests {
     use super::*;
     use crate::dim::Schedule;
+    use proptest::prelude::*;
 
     fn launch(n_blocks: u32, block_size: u32) -> LaunchConfig {
         LaunchConfig {
@@ -159,13 +233,9 @@ mod tests {
         }
     }
 
-    fn uniform_blocks(
-        n_blocks: usize,
-        warps: usize,
-        issue: f64,
-        latency: f64,
-    ) -> Vec<Vec<WarpCycles>> {
-        vec![vec![WarpCycles { issue, latency }; warps]; n_blocks]
+    /// Flat per-warp cycles of `n_blocks` blocks of `warps` identical warps.
+    fn uniform_blocks(n_blocks: usize, warps: usize, issue: f64, latency: f64) -> Vec<WarpCycles> {
+        vec![WarpCycles { issue, latency }; warps * n_blocks]
     }
 
     #[test]
@@ -272,5 +342,54 @@ mod tests {
         let spec = DeviceSpec::v100();
         let t = kernel_time(&spec, &launch(1, 32), 0, &uniform_blocks(1, 1, 0.0, 0.0));
         assert!(t.seconds >= spec.costs.kernel_launch_us * 1e-6);
+    }
+
+    proptest! {
+        /// The strided fold is bit-identical to the filter-per-SM oracle:
+        /// random grids (including fewer blocks than SMs), block sizes,
+        /// shared-memory footprints and per-warp cycles on both devices.
+        /// Quantized cycles make equal-cycle SMs common, so the busiest-SM
+        /// tie rule (last maximum) decides the exposed-latency fraction.
+        #[test]
+        fn strided_fold_matches_filtered_oracle(
+            n_blocks in 1u32..700,
+            block_size in 1u32..1025,
+            shared in 0usize..48 * 1024,
+            amd in any::<bool>(),
+            quantized in any::<bool>(),
+            seed in 0u64..u64::MAX,
+        ) {
+            let spec = if amd { DeviceSpec::mi250x() } else { DeviceSpec::v100() };
+            let lc = launch(n_blocks, block_size);
+            let wpb = lc.warps_per_block(&spec) as usize;
+            // SplitMix64 stream for the per-warp cycles.
+            let mut state = seed;
+            let mut draw = |scale: f64| {
+                state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                let mut z = state;
+                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+                z ^= z >> 31;
+                if quantized {
+                    (z % 3) as f64 * scale
+                } else {
+                    (z >> 11) as f64 / (1u64 << 53) as f64 * scale
+                }
+            };
+            let flat: Vec<WarpCycles> = (0..n_blocks as usize * wpb)
+                .map(|_| WarpCycles { issue: draw(100.0), latency: draw(400.0) })
+                .collect();
+            let nested: Vec<Vec<WarpCycles>> = flat.chunks(wpb).map(<[_]>::to_vec).collect();
+            let got = kernel_time(&spec, &lc, shared, &flat);
+            let want = kernel_time_filtered(&spec, &lc, shared, &nested);
+            prop_assert_eq!(got.cycles.to_bits(), want.cycles.to_bits());
+            prop_assert_eq!(got.seconds.to_bits(), want.seconds.to_bits());
+            prop_assert_eq!(got.waves, want.waves);
+            prop_assert_eq!(
+                got.exposed_latency_fraction.to_bits(),
+                want.exposed_latency_fraction.to_bits()
+            );
+            prop_assert_eq!(got.residency, want.residency);
+        }
     }
 }

@@ -310,3 +310,69 @@ proptest! {
         }
     }
 }
+
+/// Leukocyte's block-private Jacobi body under block fan-out: the quick
+/// sweep (444 rows on V100, perforation included) must match the
+/// sequential reference row for row, bit for bit, at widths 2 and 4.
+/// Perforation resolves Leukocyte's `BlockLocal` launch to a grid-stride
+/// walk in which blocks interleave cells, so those launches must not fan
+/// out; before that rule, 20-odd perforation rows differed at width 2.
+#[test]
+fn leukocyte_quick_sweep_matches_sequential_under_block_fan_out() {
+    use hpac_offload::apps::leukocyte::Leukocyte;
+    use hpac_offload::harness::runner::{run_sweep_serial, SweepOutcome};
+    use hpac_offload::harness::Scale;
+
+    let bench = Leukocyte {
+        n_cells: 8,
+        grid: 16,
+        iterations: 24,
+        ..Leukocyte::default()
+    };
+    let spec = DeviceSpec::v100();
+    let sweep = |executor, threads| {
+        let opts = ExecOptions {
+            executor,
+            threads,
+            ..ExecOptions::default()
+        };
+        run_sweep_serial(&bench, &spec, Scale::Quick, &opts)
+    };
+    type RowKey = (String, String, usize, [u64; 6], Option<usize>);
+    let key = |out: &SweepOutcome| -> (Vec<RowKey>, Vec<(String, String)>) {
+        let rows = out
+            .rows
+            .iter()
+            .map(|r| {
+                (
+                    r.technique.clone(),
+                    r.config.clone(),
+                    r.items_per_thread,
+                    [
+                        r.speedup.to_bits(),
+                        r.error_pct.to_bits(),
+                        r.approx_fraction.to_bits(),
+                        r.divergent_fraction.to_bits(),
+                        r.kernel_seconds.to_bits(),
+                        r.end_to_end_seconds.to_bits(),
+                    ],
+                    r.iterations,
+                )
+            })
+            .collect();
+        (rows, out.rejected.clone())
+    };
+    let reference = key(&sweep(Executor::Sequential, None));
+    assert_eq!(reference.0.len(), 444, "quick sweep size");
+    for threads in [2, 4] {
+        let fanned = key(&sweep(Executor::ParallelBlocks, Some(threads)));
+        let differing = reference
+            .0
+            .iter()
+            .zip(&fanned.0)
+            .filter(|(a, b)| a != b)
+            .count();
+        assert_eq!(differing, 0, "{differing} rows differ at width {threads}");
+        assert_eq!(fanned, reference, "width {threads}");
+    }
+}

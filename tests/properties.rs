@@ -217,10 +217,9 @@ proptest! {
         use gpu_sim::timing::kernel_time;
         let spec = DeviceSpec::v100();
         let lc = LaunchConfig::one_item_per_thread(64 * 128, 128);
-        let blocks =
-            vec![vec![WarpCycles { issue, latency }; 4]; 64];
-        let bigger =
-            vec![vec![WarpCycles { issue: issue * 2.0, latency: latency * 2.0 }; 4]; 64];
+        // 64 blocks of 4 warps, flat and block-major.
+        let blocks = vec![WarpCycles { issue, latency }; 4 * 64];
+        let bigger = vec![WarpCycles { issue: issue * 2.0, latency: latency * 2.0 }; 4 * 64];
         let t1 = kernel_time(&spec, &lc, 0, &blocks);
         let t2 = kernel_time(&spec, &lc, 0, &bigger);
         prop_assert!(t2.cycles >= t1.cycles);
@@ -232,27 +231,41 @@ proptest! {
 proptest! {
     /// Sweep-scoped evaluation reuse is invisible in the results: a config
     /// evaluated under an installed [`EvalMemo`] scope — including a second
-    /// evaluation served from a warm memo — produces bit-identical speedup,
-    /// error, and kernel seconds to a memo-free evaluation, across
-    /// techniques, executors, and worker counts.
+    /// evaluation served from a warm memo and shared inputs (Blackscholes'
+    /// portfolio, MiniFE's matrix and right-hand side, LULESH's mesh
+    /// topology) — produces bit-identical speedup, error, and kernel
+    /// seconds to a memo-free evaluation, across apps, techniques,
+    /// executors, and worker counts.
     #[test]
     fn sweep_scoped_memo_is_bit_identical(
+        app in 0usize..3,
         tech in 0usize..3,
         ipt_idx in 0usize..3,
         exec_idx in 0usize..3,
         threads_idx in 0usize..2,
     ) {
         use hpac_offload::apps::blackscholes::Blackscholes;
-        use hpac_offload::apps::common::{install_eval_memo, LaunchParams};
+        use hpac_offload::apps::common::{install_eval_memo, Benchmark, LaunchParams};
+        use hpac_offload::apps::lulesh::Lulesh;
+        use hpac_offload::apps::minife::MiniFe;
         use hpac_offload::core::exec::{ExecOptions, Executor};
         use hpac_offload::core::region::ApproxRegion;
         use hpac_offload::harness::runner::{run_config_opts, select_baseline_opts};
         use hpac_offload::harness::SweepConfig;
 
-        let bench = Blackscholes { n_options: 2048, distinct: 16, run_len: 16, seed: 7 };
+        let blackscholes = Blackscholes { n_options: 2048, distinct: 16, run_len: 16, seed: 7 };
+        let minife = MiniFe { nx: 6, max_iters: 8, seed: 5, ..MiniFe::default() };
+        let lulesh = Lulesh { edge: 4, steps: 4, dt: 1e-4, ..Lulesh::default() };
+        let bench: &dyn Benchmark = match app {
+            0 => &blackscholes,
+            1 => &minife,
+            _ => &lulesh,
+        };
         let spec = DeviceSpec::v100();
         let region = match tech {
             0 => ApproxRegion::memo_out(2, 32, 0.9),
+            // MiniFE's rows have varying input sizes, so iACT cannot apply.
+            1 if app == 1 => ApproxRegion::memo_out(1, 8, 0.5),
             1 => ApproxRegion::memo_in(4, 0.5),
             _ => ApproxRegion::perfo(PerfoKind::Small { m: 2 }),
         };
@@ -265,16 +278,16 @@ proptest! {
             label: "probe".into(),
         };
         let plain = {
-            let baseline = select_baseline_opts(&bench, &spec, &opts);
-            run_config_opts(&bench, &spec, &baseline, &cfg, &opts).unwrap()
+            let baseline = select_baseline_opts(bench, &spec, &opts);
+            run_config_opts(bench, &spec, &baseline, &cfg, &opts).unwrap()
         };
         let scoped = {
             let _scope = install_eval_memo();
-            let baseline = select_baseline_opts(&bench, &spec, &opts);
+            let baseline = select_baseline_opts(bench, &spec, &opts);
             // First evaluation populates the sweep-scoped memo; the second
             // is served from it. Both must match the memo-free run.
-            let warm = run_config_opts(&bench, &spec, &baseline, &cfg, &opts).unwrap();
-            let hot = run_config_opts(&bench, &spec, &baseline, &cfg, &opts).unwrap();
+            let warm = run_config_opts(bench, &spec, &baseline, &cfg, &opts).unwrap();
+            let hot = run_config_opts(bench, &spec, &baseline, &cfg, &opts).unwrap();
             prop_assert_eq!(warm.speedup.to_bits(), hot.speedup.to_bits());
             prop_assert_eq!(warm.error_pct.to_bits(), hot.error_pct.to_bits());
             hot
